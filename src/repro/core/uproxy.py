@@ -943,9 +943,7 @@ class UProxy(PacketFilter):
             ReplyHeader.decode(dec)
         except XdrError:
             return (pkt,)
-        status = int.from_bytes(
-            pkt.header[dec.offset:dec.offset + 4], "big"
-        ) if dec.remaining >= 4 else NFS3_OK
+        status = dec.peek_u32() if dec.remaining >= 4 else NFS3_OK
         if status == SLICEERR_MISDIRECTED:
             # Stale routing hint: drop the reply, refresh tables; the
             # client's retransmission re-routes via the new table.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, asdict
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.nfs.fhandle import FHandle
 from repro.nfs.types import Fattr3, NF3DIR
@@ -24,6 +24,7 @@ from repro.nfs.types import Fattr3, NF3DIR
 __all__ = [
     "attr_key_for",
     "name_key_for",
+    "cookie_for_key",
     "AttrCell",
     "NameCell",
     "SiteState",
@@ -52,6 +53,12 @@ def name_key_for(parent_fileid: int, name: str) -> bytes:
     return hashlib.md5(
         b"name:" + parent_fileid.to_bytes(8, "big") + name.encode("utf-8")
     ).digest()
+
+
+def cookie_for_key(key: bytes) -> int:
+    """Stable readdir cookie of the name cell with ``key`` (3.. upward;
+    0-2 are reserved for start/'.'/'..')."""
+    return max(3, int.from_bytes(key[:8], "big") >> 16)
 
 
 @dataclass
@@ -111,10 +118,8 @@ class NameCell:
 
     @property
     def cookie(self) -> int:
-        """Stable readdir cookie derived from the cell key (3.. upward;
-        0-2 are reserved for start/'.'/'..')."""
-        key = name_key_for(self.parent_fileid, self.name)
-        return max(3, int.from_bytes(key[:8], "big") >> 16)
+        """Stable readdir cookie derived from the cell key."""
+        return cookie_for_key(name_key_for(self.parent_fileid, self.name))
 
 
 class SiteState:
@@ -162,12 +167,23 @@ class SiteState:
     def get_name_cell(self, parent_fileid: int, name: str) -> Optional[NameCell]:
         return self.name_cells.get(name_key_for(parent_fileid, name))
 
-    def entries_of(self, dir_fileid: int):
-        """Name cells of a directory hosted at this site, cookie order."""
-        keys = self.dir_index.get(dir_fileid, ())
-        cells = [self.name_cells[k] for k in keys]
-        cells.sort(key=lambda c: (c.cookie, c.name))
-        return cells
+    def entries_of(self, dir_fileid: int) -> List[Tuple[int, NameCell]]:
+        """(cookie, name cell) of each entry of a directory hosted at this
+        site, in cookie order.  Cells are never mutated after
+        :meth:`put_name_cell`, so the index key still derives the cookie."""
+        entries = [
+            (cookie_for_key(key), self.name_cells[key])
+            for key in self.dir_index.get(dir_fileid, ())
+        ]
+        entries.sort(key=lambda entry: (entry[0], entry[1].name))
+        return entries
+
+    def has_entry_after(self, dir_fileid: int, cookie: int) -> bool:
+        """True iff an entry of the directory hosted here has a larger cookie."""
+        return any(
+            cookie_for_key(key) > cookie
+            for key in self.dir_index.get(dir_fileid, ())
+        )
 
     def count_entries(self, dir_fileid: int) -> int:
         return len(self.dir_index.get(dir_fileid, ()))

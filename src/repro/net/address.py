@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["Address"]
 
@@ -23,9 +24,12 @@ class Address:
         if not 0 <= self.port <= 0xFFFF:
             raise ValueError(f"port out of range: {self.port}")
 
-    @property
+    @cached_property
     def packed(self) -> bytes:
-        """6-byte wire form: pseudo-IPv4 (hash of host name) + port."""
+        """6-byte wire form: pseudo-IPv4 (hash of host name) + port.
+
+        Computed on first use and kept on the instance (outside the
+        dataclass fields, so equality, hashing and repr ignore it)."""
         ip = hashlib.md5(self.host.encode("utf-8")).digest()[:4]
         return ip + self.port.to_bytes(2, "big")
 

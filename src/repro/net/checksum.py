@@ -11,8 +11,6 @@ and the tests verify they always agree.
 
 from __future__ import annotations
 
-import struct
-
 __all__ = [
     "ones_sum",
     "ones_add",
@@ -39,13 +37,21 @@ def swap16(value: int) -> int:
 
 
 def ones_sum(data: bytes) -> int:
-    """RFC 1071 one's-complement sum of ``data`` (odd tail padded with 0)."""
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
-    while total >> 16:
-        total = (total & _MOD) + (total >> 16)
-    return total
+    """RFC 1071 one's-complement sum of ``data`` (odd tail padded with 0).
+
+    The big-endian 16-bit words of ``data`` are the base-2**16 digits of
+    the integer it encodes.  As 2**16 = 1 (mod 0xFFFF), that integer is
+    congruent to the sum of its words, and end-around-carry folding keeps a
+    sum's residue mod 0xFFFF.  So the folded sum is the residue, except that
+    folding a nonzero total never yields 0: it yields 0xFFFF.  It is 0 only
+    for all-zero data.
+    """
+    value = int.from_bytes(data, "big")
+    if len(data) & 1:
+        value <<= 8
+    if not value:
+        return 0
+    return value % _MOD or _MOD
 
 
 def combine(sum_a: int, len_a: int, sum_b: int) -> int:

@@ -55,6 +55,7 @@ class Host:
         self.clock_skew = clock_skew
         self.up = True
         self.handlers: Dict[int, Callable[[Packet], None]] = {}
+        self._addresses: Dict[int, Address] = {}
         self.egress_filters: List[PacketFilter] = []
         self.ingress_filters: List[PacketFilter] = []
         # NIC transmit queue: one packet serializes onto the wire at a time.
@@ -89,7 +90,11 @@ class Host:
     # -- data path -----------------------------------------------------------
 
     def address(self, port: int) -> Address:
-        return Address(self.name, port)
+        """This host's endpoint on ``port``; one shared instance per port."""
+        addr = self._addresses.get(port)
+        if addr is None:
+            addr = self._addresses[port] = Address(self.name, port)
+        return addr
 
     def bind(self, port: int, handler: Callable[[Packet], None]) -> None:
         if port in self.handlers:

@@ -7,6 +7,7 @@ checksumming; the field offsets exported here are part of that contract.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -75,19 +76,37 @@ FATTR3_OFF_MTIME = 68
 FATTR3_OFF_CTIME = 76
 
 
-def encode_time(enc: Encoder, seconds: float) -> None:
+# fattr3 in one layout: type mode nlink uid gid, size used, rdev (2 x u32),
+# fsid fileid, then atime mtime ctime as (seconds, nanoseconds) pairs.
+_FATTR3_FIELDS = "5I2Q2I2Q6I"
+_FATTR3 = struct.Struct("!" + _FATTR3_FIELDS)
+# post_op_attr with attributes: TRUE discriminant + fattr3.
+_POST_OP_ATTR = struct.Struct("!I" + _FATTR3_FIELDS)
+# wcc_data with no pre-op attributes and post-op attributes present.
+_WCC_DATA = struct.Struct("!2I" + _FATTR3_FIELDS)
+assert _FATTR3.size == FATTR3_SIZE
+# nfstime3, or the two FALSE discriminants of an empty wcc_data.
+_U32_PAIR = struct.Struct("!2I")
+# wcc_attr: size, mtime, ctime.
+_WCC_ATTR = struct.Struct("!Q4I")
+
+
+def _time_fields(seconds: float) -> Tuple[int, int]:
+    """nfstime3 (seconds, nanoseconds) of a float time."""
     whole = int(seconds)
     nanos = int(round((seconds - whole) * 1e9))
     if nanos >= 10**9:
         whole += 1
         nanos -= 10**9
-    enc.u32(whole & 0xFFFFFFFF)
-    enc.u32(nanos)
+    return whole & 0xFFFFFFFF, nanos
+
+
+def encode_time(enc: Encoder, seconds: float) -> None:
+    enc.pack(_U32_PAIR, *_time_fields(seconds))
 
 
 def decode_time(dec: Decoder) -> float:
-    whole = dec.u32()
-    nanos = dec.u32()
+    whole, nanos = dec.unpack(_U32_PAIR)
     return whole + nanos / 1e9
 
 
@@ -108,42 +127,30 @@ class Fattr3:
     mtime: float = 0.0
     ctime: float = 0.0
 
+    def _wire_fields(self) -> Tuple[int, ...]:
+        """Field values in fattr3 wire order (the ``_FATTR3_FIELDS`` layout)."""
+        return (
+            self.ftype, self.mode, self.nlink, self.uid, self.gid,
+            self.size, self.used, 0, 0, self.fsid, self.fileid,
+            *_time_fields(self.atime), *_time_fields(self.mtime),
+            *_time_fields(self.ctime),
+        )
+
+    @classmethod
+    def _from_wire(cls, values: Tuple[int, ...]) -> "Fattr3":
+        (ftype, mode, nlink, uid, gid, size, used, _, _, fsid, fileid,
+         asec, ansec, msec, mnsec, csec, cnsec) = values
+        return cls(
+            ftype, mode, nlink, uid, gid, size, used, fsid, fileid,
+            asec + ansec / 1e9, msec + mnsec / 1e9, csec + cnsec / 1e9,
+        )
+
     def encode(self, enc: Encoder) -> None:
-        enc.u32(self.ftype)
-        enc.u32(self.mode)
-        enc.u32(self.nlink)
-        enc.u32(self.uid)
-        enc.u32(self.gid)
-        enc.u64(self.size)
-        enc.u64(self.used)
-        enc.u32(0)  # rdev major
-        enc.u32(0)  # rdev minor
-        enc.u64(self.fsid)
-        enc.u64(self.fileid)
-        encode_time(enc, self.atime)
-        encode_time(enc, self.mtime)
-        encode_time(enc, self.ctime)
+        enc.pack(_FATTR3, *self._wire_fields())
 
     @classmethod
     def decode(cls, dec: Decoder) -> "Fattr3":
-        ftype = dec.u32()
-        mode = dec.u32()
-        nlink = dec.u32()
-        uid = dec.u32()
-        gid = dec.u32()
-        size = dec.u64()
-        used = dec.u64()
-        dec.u32()
-        dec.u32()
-        fsid = dec.u64()
-        fileid = dec.u64()
-        atime = decode_time(dec)
-        mtime = decode_time(dec)
-        ctime = decode_time(dec)
-        return cls(
-            ftype, mode, nlink, uid, gid, size, used, fsid, fileid,
-            atime, mtime, ctime,
-        )
+        return cls._from_wire(dec.unpack(_FATTR3))
 
     def copy(self, **changes) -> "Fattr3":
         return replace(self, **changes)
@@ -155,9 +162,8 @@ def encode_post_op_attr(enc: Encoder, attr: Optional[Fattr3]) -> int:
     if attr is None:
         enc.boolean(False)
         return -1
-    enc.boolean(True)
-    offset = enc.position
-    attr.encode(enc)
+    offset = enc.position + 4
+    enc.pack(_POST_OP_ATTR, 1, *attr._wire_fields())
     return offset
 
 
@@ -166,7 +172,25 @@ def decode_post_op_attr(dec: Decoder) -> Tuple[Optional[Fattr3], int]:
     if not dec.boolean():
         return None, -1
     offset = dec.offset
-    return Fattr3.decode(dec), offset
+    return Fattr3._from_wire(dec.unpack(_FATTR3)), offset
+
+
+def encode_wcc_data(enc: Encoder, post: Optional[Fattr3]) -> int:
+    """wcc_data with absent pre-op attributes; returns the fattr3 offset
+    (or -1 if ``post`` is None)."""
+    if post is None:
+        enc.pack(_U32_PAIR, 0, 0)
+        return -1
+    offset = enc.position + 8
+    enc.pack(_WCC_DATA, 0, 1, *post._wire_fields())
+    return offset
+
+
+def decode_wcc_data(dec: Decoder) -> Tuple[Optional[Fattr3], int]:
+    """Decode wcc_data; returns (post-op attr, its fattr3 offset or -1)."""
+    if dec.boolean():  # pre_op_attr present: size + mtime + ctime
+        dec.unpack(_WCC_ATTR)
+    return decode_post_op_attr(dec)
 
 
 # Sattr3 time disposition.
