@@ -89,3 +89,29 @@ def test_finalize_folds_large_totals():
 def test_checksum_never_zero():
     assert checksum(b"\x00" * 8) == 0xFFFF
     assert verify(b"\x00" * 8, 0xFFFF)
+
+
+def _reference_ones_sum(data: bytes) -> int:
+    """RFC 1071 section 4.1: add 16-bit words, then fold the carries."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+def test_ones_sum_matches_word_loop_reference():
+    import random
+
+    rng = random.Random(1071)
+    lengths = list(range(71)) + [rng.randrange(71, 3001) for _ in range(60)]
+    for length in lengths:
+        for data in (
+            rng.randbytes(length),
+            b"\x00" * length,  # sums to 0
+            b"\xff" * length,  # sums to 0xFFFF, never 0
+        ):
+            assert ones_sum(data) == _reference_ones_sum(data), (length, data[:8])

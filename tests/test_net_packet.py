@@ -128,3 +128,34 @@ def test_rewrite_sequence_property(header, body, offset, patch):
         pkt.rewrite_header(offset, patch)
     assert pkt.checksum_ok()
     assert pkt.cksum == pkt.compute_checksum()
+
+
+def test_address_packed_is_memoized_outside_the_fields():
+    import hashlib
+
+    a = Address("client1", 700)
+    fresh = Address("client1", 700)
+    assert a.packed is a.packed
+    assert a.packed == hashlib.md5(b"client1").digest()[:4] + (700).to_bytes(2, "big")
+    # A computed ``packed`` changes neither equality, hashing nor repr.
+    assert a == fresh and hash(a) == hash(fresh)
+    assert repr(a) == repr(fresh) == "Address(host='client1', port=700)"
+    assert "packed" not in repr(a)
+    assert {a: 1}[fresh] == 1
+
+
+def test_host_interns_one_address_per_port():
+    from repro.net.host import Host
+    from repro.sim import Simulator
+
+    host = Host(Simulator(), "client1", network=None)
+    a = host.address(700)
+    assert host.address(700) is a
+    assert a == Address("client1", 700)
+    assert host.address(701) == Address("client1", 701)
+    ordered = sorted(
+        [host.address(9), Address("a", 50), host.address(700), Address("z", 1)]
+    )
+    assert [(x.host, x.port) for x in ordered] == [
+        ("a", 50), ("client1", 9), ("client1", 700), ("z", 1),
+    ]
