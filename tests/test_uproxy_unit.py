@@ -4,6 +4,7 @@ readdir chaining, and synthesized error replies."""
 import pytest
 
 from repro.core.placement import IoPolicy
+from repro.core.uproxy import ProxyParams
 from repro.dirsvc.config import NAME_HASHING
 from repro.ensemble.cluster import SliceCluster
 from repro.ensemble.params import ClusterParams
@@ -247,3 +248,59 @@ def test_readdirplus_through_proxy():
     assert len(named) == 10
     # READDIRPLUS returns handles for each entry.
     assert all(e.fh is not None for e in named.values())
+
+
+# -- attribute write-back on eviction -------------------------------------------
+
+
+def test_attr_cache_eviction_writes_dirty_size_back():
+    """A one-entry attribute cache evicts ``a``'s dirty size when the
+    µproxy routes ``b``'s write; the size must still reach the directory
+    server."""
+    cluster = small_cluster()
+    client, _proxy = cluster.add_client(
+        proxy_params=ProxyParams(attr_cache_capacity=1)
+    )
+    reader, _ = cluster.add_client(port=701)
+
+    def run():
+        fhs = []
+        for name in ("a", "b"):
+            res = yield from client.create(cluster.root_fh, name)
+            fhs.append(res.fh)
+        # Writing b evicts a, dirty, from the one-entry cache.
+        for fh, size in zip(fhs, (5000, 7000)):
+            yield from client.write(fh, 0, PatternData(size, seed=size))
+        for fh in fhs:
+            yield from client.commit(fh)
+        yield cluster.sim.timeout(10.0)
+        sizes = []
+        for fh in fhs:
+            res = yield from reader.getattr(fh)
+            sizes.append(res.attr.size)
+        return tuple(sizes)
+
+    assert cluster.run(run()) == (5000, 7000)
+
+
+def test_read_fixup_eviction_writes_dirty_size_back():
+    """Reading an uncached file fetches its attributes, which evicts the
+    dirty entry of ``a`` from a one-entry cache; ``a``'s size must still
+    reach the directory server."""
+    cluster = small_cluster()
+    client, _proxy = cluster.add_client(
+        proxy_params=ProxyParams(attr_cache_capacity=1)
+    )
+    reader, _ = cluster.add_client(port=701)
+
+    def run():
+        a = yield from client.create(cluster.root_fh, "a")
+        b = yield from client.create(cluster.root_fh, "b")
+        yield from client.write(a.fh, 0, PatternData(5000, seed=1))
+        res, _ = yield from client.read(b.fh, 0, 4096)  # misses: fixup
+        assert res.status == NFS3_OK
+        yield cluster.sim.timeout(10.0)
+        attrs = yield from reader.getattr(a.fh)
+        return attrs.attr.size
+
+    assert cluster.run(run()) == 5000
