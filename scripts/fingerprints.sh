@@ -1,20 +1,31 @@
 #!/usr/bin/env bash
 # Bit-identity gate for host-only changes: runs the perfbench fingerprint
-# loop (perfbench/README.md) for seeds 1 and 2 on <rev>, checked out in a
-# temporary git worktree, and on this working tree, then diffs the two.
+# loop (perfbench/README.md) for seeds 1 and 2 on <rev>, exported into a
+# temporary directory, and on this working tree, then diffs the two.  It
+# also compares the traced Tracer.digest of bulk_dd and sfs_mix, the
+# workloads that reach the µproxy's bulk, split, commit, fixup and readdir
+# paths (untar_traced covers only the name path).
 # Usage: scripts/fingerprints.sh <rev>    Exits non-zero on any difference.
 set -euo pipefail
 rev=${1:?usage: scripts/fingerprints.sh <rev>}
 here=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"; git -C "$here" worktree prune' EXIT
-git -C "$here" worktree add --quiet --detach "$tmp/base" "$rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base"
+git -C "$here" archive "$rev" | tar -x -C "$tmp/base"
 
 fingerprints() {
   for seed in 1 2; do
     for w in bulk_dd untar untar_traced sfs_mix; do
       python3 "$1/perfbench/run.py" --workload "$w" --seed "$seed" --seconds 1 \
         | grep '^fingerprint '
+    done
+    for w in bulk_dd sfs_mix; do  # one fresh interpreter each (perfbench/README.md)
+      env -u REPRO_TRACE -u REPRO_TELEMETRY -u REPRO_BENCH_SCALE \
+        PYTHONPATH="$1/src:$1/perfbench" python3 -c 'import sys; from cases import CASES
+case = CASES[sys.argv[1]][0](int(sys.argv[2]), traced=True)
+case.setup(); case.run()  # a traced run() ends with check_traces()
+print("digest", *sys.argv[1:], *case.model["trace_digest"])' "$w" "$seed"
     done
   done
 }
