@@ -111,21 +111,14 @@ class LatencyRecorder:
 
 
 class Counter:
-    """A named monotonic counter with snapshot deltas."""
+    """A named monotonic counter."""
 
     def __init__(self, name: str = ""):
         self.name = name
         self.value = 0
-        self._mark = 0
 
     def add(self, amount: int = 1) -> None:
         self.value += amount
-
-    def mark(self) -> None:
-        self._mark = self.value
-
-    def since_mark(self) -> int:
-        return self.value - self._mark
 
 
 class Gauge:

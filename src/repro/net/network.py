@@ -112,17 +112,6 @@ class Network:
     def host(self, name: str) -> Host:
         return self.hosts[name]
 
-    def link_stats(self) -> Dict[str, dict]:
-        """Per-destination switch-port occupancy (telemetry view).
-
-        Each entry covers the output port feeding one host's downlink:
-        instantaneous queue depth, in-flight frames, peak backlog, and
-        cumulative utilisation of the port's serializer.
-        """
-        return {
-            name: port.stats() for name, port in self._output_ports.items()
-        }
-
     def output_port(self, name: str) -> Resource:
         """The switch output-port resource feeding host ``name``."""
         return self._output_ports[name]

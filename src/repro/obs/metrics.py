@@ -87,13 +87,6 @@ class MetricsScope:
             gauge.fn = fn
         return gauge
 
-    def set_gauge(self, name: str, value: Union[int, float]) -> None:
-        self.gauge(name).set(value)
-
-    def gauge_value(self, name: str) -> float:
-        gauge = self.gauges.get(name)
-        return gauge.value() if gauge is not None else 0.0
-
 
 class MetricsRegistry:
     """All scopes for one tracing domain (usually one cluster).

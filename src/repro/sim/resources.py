@@ -52,7 +52,6 @@ class Resource:
         self._waiting: deque = deque()
         self._busy_time = 0.0
         self._busy_since: Optional[float] = None
-        self.total_served = 0
         self.peak_queue = 0
 
     def request(self) -> Request:
@@ -67,7 +66,6 @@ class Resource:
 
     def _grant(self, req: Request) -> None:
         self.in_use += 1
-        self.total_served += 1
         if self._busy_since is None:
             self._busy_since = self.sim.now
         req.succeed(self)
@@ -116,18 +114,6 @@ class Resource:
         if elapsed <= 0:
             return 0.0
         return self.busy_time() / (elapsed * self.capacity)
-
-    def stats(self) -> dict:
-        """One snapshot of the queueing state (for telemetry samplers)."""
-        return {
-            "capacity": self.capacity,
-            "in_use": self.in_use,
-            "queue_length": len(self._waiting),
-            "peak_queue": self.peak_queue,
-            "total_served": self.total_served,
-            "busy_time": self.busy_time(),
-            "utilization": self.utilization(),
-        }
 
 
 class Store:
