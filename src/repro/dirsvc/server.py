@@ -300,9 +300,6 @@ class DirectoryServer:
         except ValueError:
             raise _OpError(NFS3ERR_STALE)
 
-    def _attrs_of(self, state: SiteState, fileid: int) -> Optional[AttrCell]:
-        return state.get_attr_cell(attr_key_for(fileid))
-
     def _new_txid(self) -> str:
         return f"{self.host.name}:{next(self._txid_counter)}"
 
