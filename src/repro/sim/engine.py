@@ -13,8 +13,8 @@ trigger when the generator returns, so processes can wait on each other.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from heapq import heappop, heappush
+from typing import Any, Generator, Iterable, Optional
 
 __all__ = [
     "Event",
@@ -102,10 +102,28 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim)
+        # Event.__init__ and Simulator._schedule, inlined: the hottest
+        # constructor of the kernel.
+        self.sim = sim
+        self.callbacks = []
+        self._value = _UNSET
+        self._ok = True
+        self._scheduled = True
         self.delay = delay
         self._pvalue = value
-        sim._schedule(self, delay)
+        sim._eid = eid = sim._eid + 1
+        heappush(sim._heap, (sim.now + delay, eid, self))
+
+
+class _Start:
+    """The heap entry that starts a :class:`Process`: already triggered
+    with value None, and the process's ``_resume`` as its one callback.
+    ``step`` and ``_resume`` read only these three attributes, so it needs
+    none of an :class:`Event`'s other slots."""
+
+    __slots__ = ("callbacks",)
+    _value = None
+    _ok = True
 
 
 class Process(Event):
@@ -118,17 +136,22 @@ class Process(Event):
     __slots__ = ("_gen", "_waiting_on", "name")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
-        super().__init__(sim)
         if not hasattr(gen, "send"):
             raise TypeError(f"Process requires a generator, got {type(gen)!r}")
+        self.sim = sim
+        self.callbacks = []
+        self._value = _UNSET
+        self._ok = True
+        self._scheduled = False
         self._gen = gen
         self._waiting_on: Optional[Event] = None
         self.name = name or getattr(gen, "__name__", "process")
-        # Kick off at the current time via an already-triggered event.
-        start = Event(sim)
-        start._value = None
-        start.callbacks.append(self._resume)
-        sim._schedule(start)
+        # Kick off at the current time.  The bound method is not kept on
+        # the process: that would make every process a reference cycle.
+        start = _Start()
+        start.callbacks = [self._resume]
+        sim._eid = eid = sim._eid + 1
+        heappush(sim._heap, (sim.now, eid, start))
 
     @property
     def is_alive(self) -> bool:
@@ -205,17 +228,22 @@ class AnyOf(Event):
             self.succeed({})
             return
         for ev in self.events:
-            if ev.callbacks is None or ev.triggered:
+            if ev.callbacks is None or ev._value is not _UNSET:
                 self._collect(ev)
                 return
         for ev in self.events:
             ev.callbacks.append(self._collect)
 
     def _collect(self, _event: Event) -> None:
-        if self.triggered:
+        if self._value is not _UNSET:
             return
-        done = {ev: ev._value for ev in self.events if ev.triggered and ev._ok}
-        failed = [ev for ev in self.events if ev.triggered and not ev._ok]
+        done = {
+            ev: ev._value for ev in self.events
+            if ev._value is not _UNSET and ev._ok
+        }
+        failed = [
+            ev for ev in self.events if ev._value is not _UNSET and not ev._ok
+        ]
         if failed:
             self.fail(failed[0]._value)
         else:
@@ -232,17 +260,17 @@ class AllOf(Event):
         self.events = list(events)
         self._remaining = 0
         for ev in self.events:
-            if not ev.triggered:
+            if ev._value is _UNSET:
                 self._remaining += 1
                 ev.callbacks.append(self._collect)
             elif not ev._ok:
                 self.fail(ev._value)
                 return
-        if self._remaining == 0 and not self.triggered:
+        if self._remaining == 0 and self._value is _UNSET:
             self.succeed({ev: ev._value for ev in self.events})
 
     def _collect(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _UNSET:
             return
         if not event._ok:
             self.fail(event._value)
@@ -260,7 +288,6 @@ class Simulator:
         self._heap: list = []
         self._eid = 0
         self._crashes: list = []
-        self.trace: Optional[Callable[[float, Event], None]] = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -286,7 +313,7 @@ class Simulator:
             return
         event._scheduled = True
         self._eid += 1
-        heapq.heappush(self._heap, (self.now + delay, self._eid, event))
+        heappush(self._heap, (self.now + delay, self._eid, event))
 
     def _record_crash(self, process: Process, exc: BaseException) -> None:
         self._crashes.append((self.now, process, exc))
@@ -299,13 +326,11 @@ class Simulator:
     # -- execution -----------------------------------------------------------
 
     def step(self) -> None:
-        when, _eid, event = heapq.heappop(self._heap)
+        when, _eid, event = heappop(self._heap)
         self.now = when
         if event._value is _UNSET:
             # Only Timeouts are scheduled before triggering; they fire now.
             event._value = event._pvalue
-        if self.trace is not None:
-            self.trace(when, event)
         callbacks = event.callbacks
         event.callbacks = None
         if callbacks:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Generator, Optional
 
-from .engine import Event, Simulator
+from .engine import _UNSET, Event, Simulator
 
 __all__ = ["Resource", "Store", "Gate"]
 
@@ -71,7 +71,7 @@ class Resource:
         req.succeed(self)
 
     def release(self, req: Request) -> None:
-        if not req.triggered:
+        if req._value is _UNSET:
             # Cancelled before being granted: drop from the queue.
             try:
                 self._waiting.remove(req)
@@ -131,7 +131,7 @@ class Store:
     def put(self, item: Any) -> None:
         while self._getters:
             getter = self._getters.popleft()
-            if not getter.triggered:
+            if getter._value is _UNSET:
                 getter.succeed(item)
                 return
         self._items.append(item)
@@ -171,7 +171,7 @@ class Gate:
         self._open = True
         waiters, self._waiters = self._waiters, []
         for ev in waiters:
-            if not ev.triggered:
+            if ev._value is _UNSET:
                 ev.succeed(None)
 
     def wait(self) -> Event:
