@@ -459,7 +459,7 @@ class StorageNode:
         request_end = args.offset + args.count
         # Sequential / near-sequential detection in local block order.
         if obj is not None and args.count and obj.block_order:
-            index_of = {b: i for i, b in enumerate(obj.block_order)}
+            index_of = obj.block_index
             wanted = [
                 index_of[b]
                 for b in self._blocks_of(args.offset, args.count)

@@ -39,6 +39,8 @@ class StorageObject:
     # which is what the node's sequential prefetch walks (FFS read-ahead
     # follows the local file's block chain, not the global file offsets)
     block_order: List[int] = field(default_factory=list)
+    # block -> its position in block_order, kept beside it
+    block_index: Dict[int, int] = field(default_factory=dict)
     # FFS-style per-file cluster allocation: blocks are carved from private
     # extents so concurrent writers do not interleave on disk.
     alloc_next: int = 0
@@ -117,6 +119,7 @@ class StorageObject:
         if dropped:
             gone = set(dropped)
             self.block_order = [b for b in self.block_order if b not in gone]
+            self.block_index = {b: i for i, b in enumerate(self.block_order)}
 
     def _add_unstable_range(self, lo: int, hi: int) -> None:
         self._punch_unstable(lo, hi)
@@ -211,6 +214,7 @@ class ObjectStore:
             obj.alloc_next += BLOCK_SIZE
             obj.alloc_remaining -= BLOCK_SIZE
             obj.block_phys[block] = phys
+            obj.block_index[block] = len(obj.block_order)
             obj.block_order.append(block)
         return phys
 

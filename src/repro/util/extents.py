@@ -23,6 +23,7 @@ class ExtentMap:
         self._offsets: List[int] = []
         self._extents: List[Data] = []
         self.size = 0  # logical EOF: 1 + highest byte ever written (or truncate point)
+        self._stored = 0  # sum of the extent lengths, kept by write/_drop_range
 
     # -- internal ------------------------------------------------------------
 
@@ -46,6 +47,7 @@ class ExtentMap:
         lo = bisect.bisect_left(self._offsets, start)
         hi = lo
         while hi < len(self._offsets) and self._offsets[hi] < stop:
+            self._stored -= self._extents[hi].length
             hi += 1
         del self._offsets[lo:hi]
         del self._extents[lo:hi]
@@ -65,6 +67,7 @@ class ExtentMap:
         idx = bisect.bisect_left(self._offsets, offset)
         self._offsets.insert(idx, offset)
         self._extents.insert(idx, data)
+        self._stored += data.length
         if stop > self.size:
             self.size = stop
 
@@ -116,7 +119,7 @@ class ExtentMap:
 
     def stored_bytes(self) -> int:
         """Bytes of actual (non-hole) content stored."""
-        return sum(ext.length for ext in self._extents)
+        return self._stored
 
     def __repr__(self):
         return f"ExtentMap(size={self.size}, extents={len(self._extents)})"
