@@ -15,7 +15,7 @@ described but did not implement this recovery path; we complete it).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.nfs.fhandle import FHandle
@@ -27,6 +27,7 @@ __all__ = [
     "cookie_for_key",
     "AttrCell",
     "NameCell",
+    "cell_record",
     "SiteState",
     "ROOT_FILEID",
     "make_root_cell",
@@ -122,6 +123,15 @@ class NameCell:
         return cookie_for_key(name_key_for(self.parent_fileid, self.name))
 
 
+def cell_record(cell) -> Dict:
+    """The plain-dict form of an :class:`AttrCell` or :class:`NameCell`, as
+    journaled, checkpointed and sent to peers.  Equal to
+    ``dataclasses.asdict(cell)`` without its recursive deep copy, which no
+    field needs: every one is an int, float or str, and a dataclass
+    instance's ``__dict__`` holds exactly its fields in declaration order."""
+    return dict(cell.__dict__)
+
+
 class SiteState:
     """All cells hosted by one logical directory-server site."""
 
@@ -137,7 +147,7 @@ class SiteState:
 
     def put_attr_cell(self, cell: AttrCell) -> Dict:
         self.attr_cells[attr_key_for(cell.fileid)] = cell
-        return {"op": "put_attr", "cell": asdict(cell)}
+        return {"op": "put_attr", "cell": cell_record(cell)}
 
     def del_attr_cell(self, key: bytes) -> Dict:
         self.attr_cells.pop(key, None)
@@ -147,7 +157,7 @@ class SiteState:
         key = name_key_for(cell.parent_fileid, cell.name)
         self.name_cells[key] = cell
         self.dir_index.setdefault(cell.parent_fileid, set()).add(key)
-        return {"op": "put_name", "cell": asdict(cell)}
+        return {"op": "put_name", "cell": cell_record(cell)}
 
     def del_name_cell(self, parent_fileid: int, name: str) -> Dict:
         key = name_key_for(parent_fileid, name)
@@ -199,8 +209,8 @@ class SiteState:
     def snapshot(self) -> Dict:
         return {
             "site_id": self.site_id,
-            "attrs": [asdict(c) for c in self.attr_cells.values()],
-            "names": [asdict(c) for c in self.name_cells.values()],
+            "attrs": [cell_record(c) for c in self.attr_cells.values()],
+            "names": [cell_record(c) for c in self.name_cells.values()],
         }
 
     @classmethod
