@@ -278,11 +278,14 @@ _pattern_blocks: dict = {}
 def _pattern_block(seed: int) -> bytes:
     block = _pattern_blocks.get(seed)
     if block is None:
+        # md5(f"{seed}:{counter}") for each counter: the shared prefix is
+        # hashed once and its state copied.
+        prefix = hashlib.md5(f"{seed}:".encode("utf-8"))
         chunks = []
         for counter in range(_PATTERN_PERIOD // 16):
-            chunks.append(
-                hashlib.md5(f"{seed}:{counter}".encode("utf-8")).digest()
-            )
+            h = prefix.copy()
+            h.update(b"%d" % counter)
+            chunks.append(h.digest())
         block = b"".join(chunks)
         _pattern_blocks[seed] = block
     return block

@@ -1,5 +1,7 @@
 """Tests for the lazy Data payload abstraction."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,17 @@ def test_pattern_data_deterministic():
     assert a.to_bytes() == b.to_bytes()
     assert a == b
     assert PatternData(1000, seed=43) != a
+
+
+@pytest.mark.parametrize("seed", [0, 1, 65535, -3, 10**20])
+def test_pattern_block_is_md5_of_seed_and_counter(seed):
+    """The pattern stream is md5(f"{seed}:{counter}") for counter 0, 1, ...;
+    simulated payload bytes (and every digest over them) depend on it."""
+    expected = b"".join(
+        hashlib.md5(f"{seed}:{counter}".encode("utf-8")).digest()
+        for counter in range(256)
+    )
+    assert PatternData(len(expected), seed=seed).to_bytes() == expected
 
 
 def test_pattern_slice_matches_bytes_slice():
