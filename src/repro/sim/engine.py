@@ -13,6 +13,7 @@ trigger when the generator returns, so processes can wait on each other.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Generator, Iterable, Optional
 
@@ -76,7 +77,9 @@ class Event:
         if self._value is not _UNSET:
             raise RuntimeError("event already triggered")
         self._value = value
-        self.sim._schedule(self)
+        if not self._scheduled:  # Simulator._schedule, inlined
+            self._scheduled = True
+            self.sim._lane.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -111,12 +114,17 @@ class Timeout(Event):
         self._scheduled = True
         self.delay = delay
         self._pvalue = value
-        sim._eid = eid = sim._eid + 1
-        heappush(sim._heap, (sim.now + delay, eid, self))
+        now = sim.now
+        when = now + delay
+        if when == now:  # a zero delay, or one the addition absorbs
+            sim._lane.append(self)
+        else:
+            sim._eid = eid = sim._eid + 1
+            heappush(sim._heap, (when, eid, self))
 
 
 class _Start:
-    """The heap entry that starts a :class:`Process`: already triggered
+    """The lane entry that starts a :class:`Process`: already triggered
     with value None, and the process's ``_resume`` as its one callback.
     ``step`` and ``_resume`` read only these three attributes, so it needs
     none of an :class:`Event`'s other slots."""
@@ -150,8 +158,7 @@ class Process(Event):
         # the process: that would make every process a reference cycle.
         start = _Start()
         start.callbacks = [self._resume]
-        sim._eid = eid = sim._eid + 1
-        heappush(sim._heap, (sim.now, eid, start))
+        sim._lane.append(start)
 
     @property
     def is_alive(self) -> bool:
@@ -184,7 +191,9 @@ class Process(Event):
                     target = gen.throw(event._value)
             except StopIteration as stop:
                 self._value = stop.value
-                self.sim._schedule(self)
+                if not self._scheduled:  # Simulator._schedule, inlined
+                    self._scheduled = True
+                    self.sim._lane.append(self)
                 return
             except Interrupt as exc:
                 # An unhandled interrupt terminates the process with failure.
@@ -281,11 +290,22 @@ class AllOf(Event):
 
 
 class Simulator:
-    """The event loop: a clock plus a priority queue of triggered events."""
+    """The event loop: a clock plus two lanes of scheduled events.
+
+    Events run in the order of the time they are due and, among equal
+    times, of scheduling.  An event due later than ``now`` goes on the
+    timer heap as ``(when, eid, event)``; one due at ``now`` is appended to
+    the lane, a FIFO that needs no eid.  A heap entry due at ``now`` was
+    pushed before the clock reached ``now``, so it precedes every lane
+    entry: when the clock advances, :meth:`step` moves all heap entries due
+    at the new time into the (then empty) lane, in eid order, and runs the
+    lane before it looks at the heap again.
+    """
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list = []
+        self._lane: deque = deque()
         self._eid = 0
         self._crashes: list = []
 
@@ -308,12 +328,12 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+    def _schedule(self, event: Event) -> None:
+        """Run ``event``'s callbacks at the current time, once."""
         if event._scheduled:
             return
         event._scheduled = True
-        self._eid += 1
-        heappush(self._heap, (self.now + delay, self._eid, event))
+        self._lane.append(event)
 
     def _record_crash(self, process: Process, exc: BaseException) -> None:
         self._crashes.append((self.now, process, exc))
@@ -326,8 +346,16 @@ class Simulator:
     # -- execution -----------------------------------------------------------
 
     def step(self) -> None:
-        when, _eid, event = heappop(self._heap)
-        self.now = when
+        """Run the next event; raise IndexError when none is left."""
+        lane = self._lane
+        if lane:
+            event = lane.popleft()
+        else:
+            heap = self._heap
+            when, _eid, event = heappop(heap)
+            self.now = when
+            while heap and heap[0][0] == when:
+                lane.append(heappop(heap)[2])
         if event._value is _UNSET:
             # Only Timeouts are scheduled before triggering; they fire now.
             event._value = event._pvalue
@@ -338,15 +366,16 @@ class Simulator:
                 cb(event)
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the heap drains or the clock reaches ``until``."""
+        """Run until no event is left or the clock reaches ``until``."""
+        lane = self._lane
         heap = self._heap
         if until is None:
-            while heap:
+            while lane or heap:
                 self.step()
             return
         if until < self.now:
             raise ValueError(f"until={until} is in the past (now={self.now})")
-        while heap and heap[0][0] <= until:
+        while lane or (heap and heap[0][0] <= until):
             self.step()
         if self.now < until:
             self.now = until
@@ -355,7 +384,7 @@ class Simulator:
         """Convenience: spawn ``gen`` and run until it finishes; return value."""
         proc = self.process(gen, name)
         while proc._value is _UNSET:
-            if not self._heap:
+            if not self._lane and not self._heap:
                 raise RuntimeError(
                     f"deadlock: process {proc.name!r} never finished"
                 )

@@ -21,7 +21,12 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim)
+        # Event.__init__, inlined: one Request per resource use.
+        self.sim = resource.sim
+        self.callbacks = []
+        self._value = _UNSET
+        self._ok = True
+        self._scheduled = False
         self.resource = resource
 
 
@@ -57,7 +62,15 @@ class Resource:
     def request(self) -> Request:
         req = Request(self)
         if self.in_use < self.capacity:
-            self._grant(req)
+            # _grant, with req.succeed(self) inlined: a fresh request is
+            # neither triggered nor scheduled.
+            self.in_use += 1
+            sim = self.sim
+            if self._busy_since is None:
+                self._busy_since = sim.now
+            req._value = self
+            req._scheduled = True
+            sim._lane.append(req)
         else:
             self._waiting.append(req)
             if len(self._waiting) > self.peak_queue:
